@@ -133,8 +133,9 @@ pub(crate) struct ResolvedMerge {
 /// Reusable buffers of one [`MergeCtx`] (see [`view`]'s allocation discipline).
 #[derive(Default)]
 pub(crate) struct EvalScratch {
-    /// Roots adjacent to both sides of the evaluated pair.
-    pub(crate) commons: Vec<SupernodeId>,
+    /// Roots adjacent to both sides of the evaluated pair, each with the number of
+    /// p/n-edges it shares with the two trees (see [`view::common_adjacent_roots`]).
+    pub(crate) commons: Vec<(SupernodeId, u32)>,
     /// Case-2 records accumulated while applying one merge.
     pub(crate) case2: Vec<Case2Record>,
     /// Supernode ids created while replaying one set plan
@@ -171,6 +172,17 @@ impl RootMeta {
         self.tree_size.saturating_sub(1)
     }
 
+    /// `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6).
+    pub(crate) fn cost(&self) -> usize {
+        self.h_edges() + self.pn_incident()
+    }
+
+    /// Number of p/n-edges between this tree and the tree of `other` (the tree's
+    /// own intra-tree edges when `other` is this root).
+    pub(crate) fn edges_to(&self, other: SupernodeId) -> usize {
+        self.adjacency.get(&other).map_or(0, |&c| c as usize)
+    }
+
     /// Cost^P_A(G): number of p/n-edges incident to the tree (intra-tree edges counted
     /// once).
     pub(crate) fn pn_incident(&self) -> usize {
@@ -190,9 +202,26 @@ pub trait MergeState {
     fn is_root(&self, id: SupernodeId) -> bool;
     /// Height of the tree rooted at `root`.
     fn root_height(&self, root: SupernodeId) -> usize;
-    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the state.
-    fn evaluate_merge(&self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx)
-        -> MergeEvaluation;
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the state, giving up
+    /// with `None` as soon as an upper bound on the saving proves the pair cannot
+    /// pass `cutoff` (see [`SavingCutoff`]).
+    fn evaluate_merge_within(
+        &self,
+        a: SupernodeId,
+        b: SupernodeId,
+        ctx: &mut MergeCtx,
+        cutoff: &SavingCutoff,
+    ) -> Option<MergeEvaluation>;
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) exactly, without mutating the state.
+    fn evaluate_merge(
+        &self,
+        a: SupernodeId,
+        b: SupernodeId,
+        ctx: &mut MergeCtx,
+    ) -> MergeEvaluation {
+        self.evaluate_merge_within(a, b, ctx, &SavingCutoff::NONE)
+            .expect("an evaluation without a cutoff always completes")
+    }
     /// Merges roots `a` and `b`, applying the panel re-encodings; returns the merged
     /// root's id.
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId;
@@ -207,17 +236,48 @@ impl MergeState for MergeEngine {
         MergeEngine::root_height(self, root)
     }
 
-    fn evaluate_merge(
+    fn evaluate_merge_within(
         &self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
-    ) -> MergeEvaluation {
-        MergeEngine::evaluate_merge(self, a, b, ctx)
+        cutoff: &SavingCutoff,
+    ) -> Option<MergeEvaluation> {
+        view::evaluate_merge(self, a, b, ctx, cutoff)
     }
 
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId {
         MergeEngine::apply_merge(self, a, b, ctx)
+    }
+}
+
+/// The bar a partner's `Saving(A, B, G)` must clear to matter to the pivot scan of
+/// [`crate::merge::plan_candidate_set`]: at least `θ(t)` (Eq. 9), and strictly more
+/// than the pivot's best saving so far (the scan keeps the first strict maximum).
+///
+/// A bounded evaluation ([`MergeState::evaluate_merge_within`]) stops as soon as an
+/// upper bound on the saving fails this bar.  Skipping such a partner never
+/// changes the scan's outcome: it could neither become the pivot's best partner
+/// nor, as the best, clear the threshold.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SavingCutoff {
+    /// Savings below `θ(t)` never merge.
+    pub threshold: f64,
+    /// The best saving among the partners scanned so far, if any.
+    pub best: Option<f64>,
+}
+
+impl SavingCutoff {
+    /// The cutoff that rejects nothing: the evaluation always completes.
+    pub const NONE: SavingCutoff = SavingCutoff {
+        threshold: f64::NEG_INFINITY,
+        best: None,
+    };
+
+    /// Whether a pair whose saving is at most `upper` cannot pass the cutoff.
+    #[inline]
+    pub fn rejects(&self, upper: f64) -> bool {
+        upper < self.threshold || self.best.is_some_and(|best| upper <= best)
     }
 }
 
@@ -1027,35 +1087,35 @@ impl MergeEngine {
 
     /// Encoding cost attributed to root `A`: `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6).
     pub fn root_cost(&self, root: SupernodeId) -> usize {
-        let meta = &self.roots[&root];
-        meta.h_edges() + meta.pn_incident()
+        self.roots[&root].cost()
     }
 
     /// Number of p/n-edges between the trees of two distinct roots (`Cost^P_{A,B}`).
     pub fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        self.roots[&a].adjacency.get(&b).copied().unwrap_or(0) as usize
+        self.roots[&a].edges_to(b)
     }
 
     // ------------------------------------------------------------------
     // Saving evaluation and merge application
     // ------------------------------------------------------------------
 
-    /// Evaluates `Saving(A, B, G)` (Eq. 8) without mutating the model.
+    /// Evaluates `Saving(A, B, G)` (Eq. 8) exactly, without mutating the model: the
+    /// bounded evaluation of [`MergeState::evaluate_merge_within`] with
+    /// [`SavingCutoff::NONE`].
     pub fn evaluate_merge(
         &self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
     ) -> MergeEvaluation {
-        debug_assert!(self.roots.contains_key(&a) && self.roots.contains_key(&b) && a != b);
-        view::evaluate_merge(self, a, b, ctx)
+        MergeState::evaluate_merge(self, a, b, ctx)
     }
 
     /// Roots adjacent (through p/n-edges) to both `a`'s and `b`'s trees.
     pub fn common_adjacent_roots(&self, a: SupernodeId, b: SupernodeId) -> Vec<SupernodeId> {
         let mut out = Vec::new();
-        MergeView::common_adjacent_roots_into(self, a, b, &mut out);
-        out
+        view::common_adjacent_roots(&self.roots[&a], &self.roots[&b], a, b, &mut out);
+        out.into_iter().map(|(c, _)| c).collect()
     }
 
     /// Merges roots `a` and `b`, applying the Case-1 and Case-2 re-encodings, and
@@ -1285,31 +1345,8 @@ impl MergeView for MergeEngine {
         self.summary.edge_weight(x, y)
     }
 
-    fn root_cost(&self, root: SupernodeId) -> usize {
-        MergeEngine::root_cost(self, root)
-    }
-
-    fn root_height(&self, root: SupernodeId) -> usize {
-        MergeEngine::root_height(self, root)
-    }
-
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        MergeEngine::edges_between_roots(self, a, b)
-    }
-
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    ) {
-        view::common_adjacent_roots_from_maps(
-            &self.roots[&a].adjacency,
-            &self.roots[&b].adjacency,
-            a,
-            b,
-            out,
-        );
+    fn meta(&self, root: SupernodeId) -> &RootMeta {
+        &self.roots[&root]
     }
 }
 

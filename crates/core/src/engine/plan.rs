@@ -42,6 +42,7 @@
 use super::view::{self, MergeView};
 use super::{
     Case2Record, MergeCtx, MergeEngine, MergeEvaluation, MergeState, ResolvedMerge, RootMeta,
+    SavingCutoff,
 };
 use crate::model::{edge_key, SupernodeId};
 use slugger_graph::hash::FxHashMap;
@@ -454,36 +455,8 @@ impl MergeView for PlanningEngine<'_> {
         }
     }
 
-    fn root_cost(&self, root: SupernodeId) -> usize {
-        let meta = &self.scratch.metas[&root];
-        meta.h_edges() + meta.pn_incident()
-    }
-
-    fn root_height(&self, root: SupernodeId) -> usize {
-        self.scratch.metas[&root].height
-    }
-
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
-        self.scratch.metas[&a]
-            .adjacency
-            .get(&b)
-            .copied()
-            .unwrap_or(0) as usize
-    }
-
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    ) {
-        view::common_adjacent_roots_from_maps(
-            &self.scratch.metas[&a].adjacency,
-            &self.scratch.metas[&b].adjacency,
-            a,
-            b,
-            out,
-        );
+    fn meta(&self, root: SupernodeId) -> &RootMeta {
+        &self.scratch.metas[&root]
     }
 }
 
@@ -496,13 +469,14 @@ impl MergeState for PlanningEngine<'_> {
         MergeView::root_height(self, root)
     }
 
-    fn evaluate_merge(
+    fn evaluate_merge_within(
         &self,
         a: SupernodeId,
         b: SupernodeId,
         ctx: &mut MergeCtx,
-    ) -> MergeEvaluation {
-        view::evaluate_merge(self, a, b, ctx)
+        cutoff: &SavingCutoff,
+    ) -> Option<MergeEvaluation> {
+        view::evaluate_merge(self, a, b, ctx, cutoff)
     }
 
     fn apply_merge(&mut self, a: SupernodeId, b: SupernodeId, ctx: &mut MergeCtx) -> SupernodeId {
@@ -566,7 +540,7 @@ mod tests {
         // And apply it; the overlay's root cost must match the engine's.
         let em2 = engine.apply_merge(em, 4, &mut ctx);
         let om2 = overlay.merge(om, 4, &mut ctx);
-        assert_eq!(engine.root_cost(em2), MergeView::root_cost(&overlay, om2));
+        assert_eq!(engine.root_cost(em2), overlay.meta(om2).cost());
         assert_eq!(
             engine.root_height(em2),
             MergeView::root_height(&overlay, om2)
@@ -616,7 +590,7 @@ mod tests {
         let ma = a.merge(2, 3, &mut ctx);
         let mb = b.merge(2, 3, &mut ctx);
         assert_eq!(ma, mb);
-        assert_eq!(MergeView::root_cost(&a, ma), MergeView::root_cost(&b, mb));
+        assert_eq!(a.meta(ma).cost(), b.meta(mb).cost());
     }
 
     #[test]

@@ -17,12 +17,20 @@
 //! always sound (see its docs), so merge evaluation and application need no
 //! special cases for pruned shapes.
 //!
+//! # Bounded evaluation
+//!
+//! The merging step considers every remaining partner of each pivot, but only a
+//! sliver of the pairs it considers ever merge.  [`evaluate_merge`] therefore
+//! takes a [`SavingCutoff`] and gives up on a pair as soon as an upper bound on its
+//! saving proves the pair cannot pass it — before building the pair's remaining
+//! panels (see [`evaluate_merge`] for the bound and why it is sound).
+//!
 //! # Allocation discipline
 //!
 //! Merge evaluation is the innermost loop of the pipeline — every candidate pair of
-//! every set of every iteration builds a Case-1 problem plus one Case-2 problem per
-//! common adjacent root — so the problem builders are engineered to perform **no heap
-//! allocation per evaluation**:
+//! every set of every iteration may build a Case-1 problem plus one Case-2 problem
+//! per common adjacent root — so the problem builders are engineered to perform
+//! **no heap allocation per evaluation**:
 //!
 //! * panels are constant-size, so cells, panel supernodes and old panel edges live in
 //!   inline arrays ([`InlineVec`]); a panel has at most 6 supernodes, hence at most
@@ -34,7 +42,7 @@
 //!   [`MergeCtx`](super::MergeCtx) scratch, as are the Case-2 records a merge
 //!   application accumulates.
 
-use super::{Case2Record, MergeCtx, MergeEvaluation, ResolvedMerge};
+use super::{Case2Record, MergeCtx, MergeEvaluation, ResolvedMerge, RootMeta, SavingCutoff};
 use crate::encoder::{
     pair_index, panel, Case1Problem, Case1Shape, Case2Problem, Case2Shape, EncoderMemo,
 };
@@ -56,21 +64,17 @@ pub(crate) trait MergeView {
     fn parent_of(&self, id: SupernodeId) -> Option<SupernodeId>;
     /// Signed p/n-edge weight between two supernodes (0 = no edge).
     fn edge_weight(&self, x: SupernodeId, y: SupernodeId) -> i32;
-    /// `Cost_A(G) = Cost^H_A + Cost^P_A` (Eq. 6) for a root.
-    fn root_cost(&self, root: SupernodeId) -> usize;
+    /// The metadata (tree size, height, root adjacency) of a current root.
+    fn meta(&self, root: SupernodeId) -> &RootMeta;
+
     /// Height of the tree rooted at `root`.
-    fn root_height(&self, root: SupernodeId) -> usize;
+    fn root_height(&self, root: SupernodeId) -> usize {
+        self.meta(root).height
+    }
     /// Number of p/n-edges between two distinct roots (`Cost^P_{A,B}`).
-    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize;
-    /// Fills `out` with the roots adjacent (through p/n-edges) to both `a`'s and
-    /// `b`'s trees, clearing it first.  Buffer-filling (rather than returning a
-    /// `Vec`) so the hot path can reuse one allocation across evaluations.
-    fn common_adjacent_roots_into(
-        &self,
-        a: SupernodeId,
-        b: SupernodeId,
-        out: &mut Vec<SupernodeId>,
-    );
+    fn edges_between_roots(&self, a: SupernodeId, b: SupernodeId) -> usize {
+        self.meta(a).edges_to(b)
+    }
 }
 
 /// A fixed-capacity inline vector for the constant-size panel data of the hot path
@@ -397,7 +401,7 @@ pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
     b: SupernodeId,
     m: SupernodeId,
     memo: &mut EncoderMemo,
-    commons: &mut Vec<SupernodeId>,
+    commons: &mut Vec<(SupernodeId, u32)>,
     case2: &mut Vec<Case2Record>,
 ) -> ResolvedMerge {
     let (_, a_kids) = side_panel(view, a);
@@ -405,10 +409,10 @@ pub(crate) fn resolve_merge_into<V: MergeView + ?Sized>(
     let cross_ab = view.edges_between_roots(a, b) as u32;
     let (problem1, old1) = case1_problem(view, a, b);
     let sol1 = memo.case1(&problem1);
-    view.common_adjacent_roots_into(a, b, commons);
+    common_adjacent_roots(view.meta(a), view.meta(b), a, b, commons);
     let case2_start = case2.len();
     let yellow = case2_yellow(view, a, b);
-    for &c in commons.iter() {
+    for &(c, _) in commons.iter() {
         let (problem2, old2) = case2_problem(view, &yellow, c);
         let sol2 = memo.case2(&problem2);
         let (_, c_kids) = side_panel(view, c);
@@ -480,74 +484,119 @@ pub(crate) fn replay_reencodings<S: PnEdgeSink + ?Sized>(
     }
 }
 
-/// Fills `out` with the keys present in both adjacency maps, excluding the merged
-/// roots themselves — the Case-2 partner set.  Probes the larger map with the
-/// smaller one's keys; shared by the engine's and the overlay's
-/// [`MergeView::common_adjacent_roots_into`] so the partner rule lives in one place.
-pub(crate) fn common_adjacent_roots_from_maps(
-    adj_a: &slugger_graph::hash::FxHashMap<SupernodeId, u32>,
-    adj_b: &slugger_graph::hash::FxHashMap<SupernodeId, u32>,
+/// Fills `out` with the Case-2 partner set of merging roots `a` and `b` — the roots
+/// adjacent to both trees, excluding the merged roots themselves — each paired with
+/// the number of p/n-edges it shares with the two trees (`adj_A[C] + adj_B[C]`), and
+/// returns the sum of those counts.  Probes the larger adjacency map with the
+/// smaller one's keys, so the counts come for free with the intersection.
+pub(crate) fn common_adjacent_roots(
+    meta_a: &RootMeta,
+    meta_b: &RootMeta,
     a: SupernodeId,
     b: SupernodeId,
-    out: &mut Vec<SupernodeId>,
-) {
+    out: &mut Vec<(SupernodeId, u32)>,
+) -> usize {
     out.clear();
-    let (small, large) = if adj_a.len() <= adj_b.len() {
-        (adj_a, adj_b)
+    let (small, large) = if meta_a.adjacency.len() <= meta_b.adjacency.len() {
+        (&meta_a.adjacency, &meta_b.adjacency)
     } else {
-        (adj_b, adj_a)
+        (&meta_b.adjacency, &meta_a.adjacency)
     };
-    out.extend(
-        small
-            .keys()
-            .copied()
-            .filter(|&r| r != a && r != b && large.contains_key(&r)),
-    );
+    let mut shared = 0usize;
+    for (&c, &count) in small {
+        if c == a || c == b {
+            continue;
+        }
+        if let Some(&other) = large.get(&c) {
+            out.push((c, count + other));
+            shared += (count + other) as usize;
+        }
+    }
+    shared
 }
 
-/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating it.
+/// `Saving(A, B, G)` (Eq. 8) of a merge from the pair's cost before and after it.
+/// Non-increasing in `cost_after`, which is what lets [`evaluate_merge`] feed its
+/// lower bounds on `cost_after` through the very same expression.
+#[inline]
+fn saving(cost_before: usize, cost_after: usize) -> f64 {
+    if cost_before == 0 {
+        f64::NEG_INFINITY
+    } else {
+        1.0 - cost_after as f64 / cost_before as f64
+    }
+}
+
+/// Evaluates `Saving(A, B, G)` (Eq. 8) against any [`MergeView`] without mutating
+/// it, returning `None` as soon as an upper bound on the saving fails `cutoff`.
+/// With [`SavingCutoff::NONE`] the evaluation always completes.
+///
+/// The bound is an integer lower bound `floor` on `cost_after`, mapped through the
+/// same [`saving`] expression as the exact value.  That expression is monotone, so
+/// the bound is float-exact: a pair it rejects would have failed the cutoff with
+/// its exact saving too.  The floor is sound because a merge removes at most the
+/// p/n-edges of the panels it re-encodes, every solved panel costs ≥ 0, and the
+/// panels' old edges are counted by the roots' adjacency metadata:
+///
+/// * the Case-1 panel's old edges lie within `intra(A) + intra(B) + cross(A, B)`;
+/// * a common root `C`'s Case-2 panel's old edges lie within `adj_A[C] + adj_B[C]`.
+///
+/// The floor starts at `Cost^H_A + Cost^H_B + 2` (every p/n-edge of both trees
+/// gone; O(1) from the metadata), tightens to `cost_before + 2` minus both sums
+/// once the common-root intersection has counted them, and then replaces each
+/// sum by the exact Case-1 and per-`C` Case-2 deltas as they are solved — after
+/// the last one it *is* `cost_after`.
 pub(crate) fn evaluate_merge<V: MergeView + ?Sized>(
     view: &V,
     a: SupernodeId,
     b: SupernodeId,
     ctx: &mut MergeCtx,
-) -> MergeEvaluation {
+    cutoff: &SavingCutoff,
+) -> Option<MergeEvaluation> {
     debug_assert!(view.is_root(a) && view.is_root(b) && a != b);
     let MergeCtx { memo, scratch } = ctx;
-    let cost_a = view.root_cost(a);
-    let cost_b = view.root_cost(b);
-    let cross = view.edges_between_roots(a, b);
-    let cost_before = cost_a + cost_b - cross;
+    let (meta_a, meta_b) = (view.meta(a), view.meta(b));
+    let cross = meta_a.edges_to(b);
+    let cost_before = meta_a.cost() + meta_b.cost() - cross;
+    let upper = |floor: i64| saving(cost_before, floor.max(0) as usize);
+
+    // Every p/n-edge of both trees removed: only the h-edges remain, plus the two
+    // attaching A and B below the new root.
+    let mut floor = (meta_a.h_edges() + meta_b.h_edges() + 2) as i64;
+    if cutoff.rejects(upper(floor)) {
+        return None;
+    }
+    let case1_edges = meta_a.edges_to(a) + meta_b.edges_to(b) + cross;
+    let shared = common_adjacent_roots(meta_a, meta_b, a, b, &mut scratch.commons);
+    floor = cost_before as i64 + 2 - (case1_edges + shared) as i64;
+    if cutoff.rejects(upper(floor)) {
+        return None;
+    }
 
     // Case 1.
     let (problem1, old1) = case1_problem(view, a, b);
     let sol1 = memo.case1(&problem1);
-    let mut delta = sol1.cost as i64 - old1.len() as i64;
+    floor += case1_edges as i64 + sol1.cost as i64 - old1.len() as i64;
 
     // Case 2, only for roots adjacent to both sides: for roots adjacent to exactly
     // one side the existing encoding remains optimal within the panel, so the
     // re-encoding is skipped both here and during application (keeping the two paths
     // consistent is what makes the evaluation exact).
-    view.common_adjacent_roots_into(a, b, &mut scratch.commons);
-    if !scratch.commons.is_empty() {
-        let yellow = case2_yellow(view, a, b);
-        for &c in scratch.commons.iter() {
-            let (problem2, old2) = case2_problem(view, &yellow, c);
-            let sol2 = memo.case2(&problem2);
-            delta += sol2.cost as i64 - old2.len() as i64;
+    let mut yellow_half = None;
+    for &(c, shared_c) in scratch.commons.iter() {
+        if cutoff.rejects(upper(floor)) {
+            return None;
         }
+        let yellow = yellow_half.get_or_insert_with(|| case2_yellow(view, a, b));
+        let (problem2, old2) = case2_problem(view, yellow, c);
+        let sol2 = memo.case2(&problem2);
+        floor += shared_c as i64 + sol2.cost as i64 - old2.len() as i64;
     }
 
-    // +2 hierarchy edges for attaching A and B below the new root.
-    let cost_after = (cost_before as i64 + 2 + delta).max(0) as usize;
-    let saving = if cost_before == 0 {
-        f64::NEG_INFINITY
-    } else {
-        1.0 - cost_after as f64 / cost_before as f64
-    };
-    MergeEvaluation {
-        saving,
+    let cost_after = floor.max(0) as usize;
+    Some(MergeEvaluation {
+        saving: saving(cost_before, cost_after),
         cost_before,
         cost_after,
-    }
+    })
 }

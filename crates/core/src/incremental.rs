@@ -231,8 +231,13 @@ pub struct BatchReport {
     /// Roots whose cached shingle signatures the candidate index served without
     /// re-hashing, summed over the pipeline passes (0 with the index off).
     pub cached_roots: usize,
-    /// Candidate pairs evaluated by the per-batch pipeline passes.
+    /// Candidate pairs considered by the per-batch pipeline passes (every
+    /// pivot/partner pair the merging step reached, including the bounded ones).
     pub pairs_evaluated: usize,
+    /// Of `pairs_evaluated`, the pairs rejected before a full `Saving(A, B, G)`
+    /// evaluation because a bound proved they could not win (see
+    /// [`crate::merge::MergeStats::bounded`]).
+    pub pairs_bounded: usize,
     /// Merges performed by the per-batch pipeline passes.
     pub merges: usize,
     /// What the post-batch region prune changed (all zeros when
@@ -729,6 +734,7 @@ impl IncrementalSummarizer {
             );
             report.stages.apply += apply_start.elapsed();
             report.pairs_evaluated += stats.evaluated;
+            report.pairs_bounded += stats.bounded;
             report.merges += stats.merged;
             // Return spent merge vectors to the persistent planners, so
             // steady-state batches pop instead of allocating.

@@ -56,9 +56,10 @@
 //! * [`decode`] — full and partial decompression (Algorithm 4) and losslessness
 //!   verification.
 //! * [`metrics`] — output-size and hierarchy statistics used by the experiments.
-//! * [`testsupport`] — the canonical-form comparison and the
-//!   `parallelism × shards` lattice shared by the invariance test suites (and by
-//!   downstream crates' tests); not part of the stable algorithmic surface.
+//! * [`testsupport`] — the canonical-form comparison, the
+//!   `parallelism × shards` lattice and the exhaustive reference merging scan
+//!   shared by the invariance test suites (and by downstream crates' tests); not
+//!   part of the stable algorithmic surface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

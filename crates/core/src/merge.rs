@@ -3,7 +3,7 @@
 //! pair when the saving clears the iteration threshold `θ(t)` (Eq. 9).
 
 use crate::engine::apply::{MergeRef, PlannedMerge};
-use crate::engine::{MergeCtx, MergeEngine, MergeState};
+use crate::engine::{MergeCtx, MergeEngine, MergeState, SavingCutoff};
 use crate::model::SupernodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -23,8 +23,13 @@ pub fn merging_threshold(iteration: usize, total_iterations: usize) -> f64 {
 /// Statistics of one merging pass over a single candidate set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Number of candidate pairs whose saving was evaluated.
+    /// Number of candidate pairs considered: every (pivot, partner) pair the scan
+    /// reached, whether its saving was evaluated in full or bounded away.
     pub evaluated: usize,
+    /// Of the `evaluated` pairs, those rejected before a full evaluation because an
+    /// upper bound on their saving could not pass the scan's cutoff (see
+    /// [`SavingCutoff`]).
+    pub bounded: usize,
     /// Number of merges performed.
     pub merged: usize,
 }
@@ -33,6 +38,7 @@ impl MergeStats {
     /// Accumulates another batch of statistics.
     pub fn absorb(&mut self, other: MergeStats) {
         self.evaluated += other.evaluated;
+        self.bounded += other.bounded;
         self.merged += other.merged;
     }
 }
@@ -51,6 +57,13 @@ pub struct MergeOptions {
 /// been considered once as the pivot `A`, recording each merge as a
 /// [`PlannedMerge`] so the sequence can be replayed on the authoritative engine by
 /// the [`crate::engine::apply`] reconciliation layer.
+///
+/// Each partner of a pivot is evaluated against a [`SavingCutoff`] — `θ(t)` and the
+/// pivot's best saving so far — and is given up on as soon as an upper bound on its
+/// saving fails it.  Such a partner could neither become the pivot's first
+/// strictly-best partner nor clear `θ(t)` as the best, so the planned merges are
+/// exactly those of the exhaustive scan
+/// ([`crate::testsupport::plan_candidate_set_reference`]).
 ///
 /// The merges *are applied* to the given [`MergeState`] — in the sharded pipeline
 /// that is a per-set copy-on-write overlay over the frozen iteration view; planning
@@ -100,33 +113,36 @@ pub fn plan_candidate_set<E: MergeState>(
                     continue;
                 }
             }
-            let eval = engine.evaluate_merge(a, z, ctx);
             stats.evaluated += 1;
-            let better = match best {
-                None => true,
-                Some((_, s)) => eval.saving > s,
+            let cutoff = SavingCutoff {
+                threshold: options.threshold,
+                best: best.map(|(_, s)| s),
             };
-            if better {
-                best = Some((pos, eval.saving));
+            // Only a partner that passes the cutoff with its exact saving becomes
+            // the best: one below θ(t) could never merge, so recording it would not
+            // tighten the bar either.
+            match engine.evaluate_merge_within(a, z, ctx, &cutoff) {
+                Some(eval) if !cutoff.rejects(eval.saving) => best = Some((pos, eval.saving)),
+                Some(_) => {}
+                None => stats.bounded += 1,
             }
         }
-        let Some((pos, saving)) = best else { continue };
-        if saving >= options.threshold {
-            let b = queue[pos];
-            let as_ref = |id: SupernodeId| match planned_ids.get(&id) {
-                Some(&i) => MergeRef::Planned(i),
-                None => MergeRef::Root(id),
-            };
-            merges.push(PlannedMerge {
-                a: as_ref(a),
-                b: as_ref(b),
-            });
-            let merged = engine.apply_merge(a, b, ctx);
-            planned_ids.insert(merged, merges.len() - 1);
-            stats.merged += 1;
-            // Q ← (Q \ {B}) ∪ {A ∪ B}
-            queue[pos] = merged;
-        }
+        // The best partner passed the cutoff, so its saving clears θ(t).
+        let Some((pos, _)) = best else { continue };
+        let b = queue[pos];
+        let as_ref = |id: SupernodeId| match planned_ids.get(&id) {
+            Some(&i) => MergeRef::Planned(i),
+            None => MergeRef::Root(id),
+        };
+        merges.push(PlannedMerge {
+            a: as_ref(a),
+            b: as_ref(b),
+        });
+        let merged = engine.apply_merge(a, b, ctx);
+        planned_ids.insert(merged, merges.len() - 1);
+        stats.merged += 1;
+        // Q ← (Q \ {B}) ∪ {A ∪ B}
+        queue[pos] = merged;
     }
     ctx.scratch.plan_queue = queue;
     ctx.scratch.planned_ids = planned_ids;

@@ -98,10 +98,10 @@ impl ShardAssignment {
 
 /// Estimated planning cost of a candidate set of `len` roots.
 ///
-/// The merging step evaluates every remaining partner for each pivot, i.e.
-/// O(|set|²) `Saving(A, B, G)` evaluations, so the square is the right load-balance
-/// weight (candidate sets vary from pairs to the 500-root cap — three orders of
-/// magnitude in cost).
+/// The merging step considers every remaining partner for each pivot, i.e.
+/// O(|set|²) candidate pairs (each evaluated or bounded away), so the square is the
+/// right load-balance weight (candidate sets vary from pairs to the 500-root cap —
+/// three orders of magnitude in cost).
 #[inline]
 pub fn estimated_set_cost(len: usize) -> u64 {
     (len as u64) * (len as u64)

@@ -92,8 +92,13 @@ pub struct IterationRecord {
     pub threshold: f64,
     /// Candidate sets processed.
     pub candidate_sets: usize,
-    /// Candidate pairs evaluated.
+    /// Candidate pairs considered by the merging step (every pivot/partner pair
+    /// the scan reached, including the bounded ones).
     pub pairs_evaluated: usize,
+    /// Of `pairs_evaluated`, the pairs rejected before a full `Saving(A, B, G)`
+    /// evaluation because a bound proved they could not win (see
+    /// [`crate::merge::MergeStats::bounded`]).
+    pub pairs_bounded: usize,
     /// Merges performed.
     pub merges: usize,
     /// Encoding cost at the end of the iteration.
@@ -275,6 +280,7 @@ impl Slugger {
                 threshold,
                 candidate_sets: sets.len(),
                 pairs_evaluated: stats.evaluated,
+                pairs_bounded: stats.bounded,
                 merges: stats.merged,
                 cost: engine.summary().encoding_cost(),
                 roots: engine.num_roots(),

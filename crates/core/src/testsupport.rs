@@ -2,14 +2,22 @@
 //!
 //! The byte-identity pins (`apply_invariance`, `incremental_invariance`,
 //! `query_snapshot`, `scenario_matrix`, ...) all compare summaries through the
-//! same canonical form and sweep the same `parallelism × shards` lattice.
+//! same canonical form and sweep the same `parallelism × shards` lattice, and
+//! the optimized merging step is pinned to its exhaustive reference scan
+//! ([`plan_candidate_set_reference`]).
 //! This module is that machinery's single home; it ships in the library (not
 //! `#[cfg(test)]`) so integration tests *and* downstream crates' tests can use
 //! it, but it is documented as test support and carries no stability promise
 //! beyond what the tests themselves pin.
 
-use crate::model::HierarchicalSummary;
+use crate::engine::apply::{MergeRef, PlannedMerge};
+use crate::engine::{MergeCtx, MergeState};
+use crate::merge::{MergeOptions, MergeStats};
+use crate::model::{HierarchicalSummary, SupernodeId};
 use crate::pipeline::Parallelism;
+use rand::rngs::StdRng;
+use rand::RngExt;
+use slugger_graph::hash::FxHashMap;
 
 /// One arena slot of the canonical form: `(parent, children, members, alive)`.
 pub type CanonicalSlot = (Option<u32>, Vec<u32>, Vec<u32>, bool);
@@ -91,6 +99,65 @@ pub fn lattice() -> Vec<LatticePoint> {
         }
     }
     points
+}
+
+/// The exhaustive form of [`crate::merge::plan_candidate_set`]: every partner of
+/// every pivot gets a full `Saving(A, B, G)` evaluation, with no cutoff.  The oracle
+/// the bounded scan must match merge for merge (same [`PlannedMerge`] sequence,
+/// same RNG draws, same merged roots); its `bounded` count is always 0.
+pub fn plan_candidate_set_reference<E: MergeState>(
+    engine: &mut E,
+    ctx: &mut MergeCtx,
+    candidate_set: &[SupernodeId],
+    options: &MergeOptions,
+    rng: &mut StdRng,
+) -> (Vec<PlannedMerge>, MergeStats) {
+    let mut stats = MergeStats::default();
+    let mut merges = Vec::new();
+    let mut planned_ids: FxHashMap<SupernodeId, usize> = FxHashMap::default();
+    let mut queue: Vec<SupernodeId> = candidate_set
+        .iter()
+        .copied()
+        .filter(|&r| engine.is_root(r))
+        .collect();
+    while queue.len() > 1 {
+        let a = queue.swap_remove(rng.random_range(0..queue.len()));
+        if !engine.is_root(a) {
+            continue;
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (pos, &z) in queue.iter().enumerate() {
+            if z == a || !engine.is_root(z) {
+                continue;
+            }
+            if let Some(bound) = options.height_bound {
+                if engine.root_height(a).max(engine.root_height(z)) + 1 > bound {
+                    continue;
+                }
+            }
+            let eval = engine.evaluate_merge(a, z, ctx);
+            stats.evaluated += 1;
+            if best.is_none_or(|(_, s)| eval.saving > s) {
+                best = Some((pos, eval.saving));
+            }
+        }
+        let Some((pos, saving)) = best else { continue };
+        if saving >= options.threshold {
+            let as_ref = |id: SupernodeId| match planned_ids.get(&id) {
+                Some(&i) => MergeRef::Planned(i),
+                None => MergeRef::Root(id),
+            };
+            merges.push(PlannedMerge {
+                a: as_ref(a),
+                b: as_ref(queue[pos]),
+            });
+            let merged = engine.apply_merge(a, queue[pos], ctx);
+            planned_ids.insert(merged, merges.len() - 1);
+            stats.merged += 1;
+            queue[pos] = merged;
+        }
+    }
+    (merges, stats)
 }
 
 #[cfg(test)]

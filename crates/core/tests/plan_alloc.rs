@@ -2,6 +2,9 @@
 //! discipline: once the per-worker `PlanScratch` / `MergeCtx` pools are warm,
 //! planning a candidate set performs **zero heap allocations** — no overlay maps, no
 //! per-root metadata clones, no per-merge adjacency folds, no queue/plan vectors.
+//! Pinned at θ = 0 (every evaluation runs to completion unless it cannot beat the
+//! best partner) and at θ = 0.5, where the bounded evaluation's early exits
+//! dominate.
 //!
 //! The file holds a single test (plus the allocator plumbing) so no other test
 //! thread can allocate inside the measured window.
@@ -45,6 +48,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_set_planning_allocates_nothing() {
+    for threshold in [0.0, 0.5] {
+        assert_steady_state_planning_allocates_nothing(threshold);
+    }
+}
+
+fn assert_steady_state_planning_allocates_nothing(threshold: f64) {
     let graph = caveman(&CavemanConfig {
         num_nodes: 120,
         num_cliques: 15,
@@ -60,7 +69,7 @@ fn steady_state_set_planning_allocates_nothing() {
     let set_a: Vec<u32> = roots.iter().copied().take(40).collect();
     let set_b: Vec<u32> = roots.iter().copied().skip(40).take(40).collect();
     let options = MergeOptions {
-        threshold: 0.0,
+        threshold,
         height_bound: None,
     };
     let mut ctx = MergeCtx::new();
@@ -71,6 +80,12 @@ fn steady_state_set_planning_allocates_nothing() {
         let mut rng = set_rng(9, 1, stream);
         let (merges, stats) = plan_candidate_set(&mut overlay, ctx, set, &options, &mut rng);
         assert!(stats.evaluated > 0, "the workload must exercise planning");
+        if threshold > 0.0 {
+            assert!(
+                stats.bounded * 2 > stats.evaluated,
+                "early exits must dominate at θ = {threshold}: {stats:?}"
+            );
+        }
         // Recycle the plan's merge vector, as the apply stage's consumer would.
         ctx.recycle_merges(merges);
     };
@@ -94,7 +109,7 @@ fn steady_state_set_planning_allocates_nothing() {
         rounds += 1;
         assert!(
             rounds < 32,
-            "planning pools failed to reach an allocation-free steady state"
+            "planning pools failed to reach an allocation-free steady state at θ = {threshold}"
         );
     }
 
@@ -107,6 +122,6 @@ fn steady_state_set_planning_allocates_nothing() {
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         allocs, 0,
-        "steady-state planning of two warmed candidate sets performed {allocs} heap allocations"
+        "steady-state planning of two warmed candidate sets at θ = {threshold} performed {allocs} heap allocations"
     );
 }
